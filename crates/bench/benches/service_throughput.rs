@@ -5,6 +5,8 @@
 //! * does sharded oracle *construction* (`build_parallel`) scale with the thread count?
 //! * does concurrent *querying* through the `QueryService` worker pool scale with the worker
 //!   count, and what does the pool cost over a direct in-process query loop?
+//! * what does a single-query batch cost when answered on the caller's thread
+//!   (`answer_batch`) vs handed to the pool (`submit(..).wait()`)?
 
 use std::time::Duration;
 
@@ -91,6 +93,19 @@ fn bench_concurrent_queries(c: &mut Criterion) {
         );
         service.shutdown();
     }
+
+    // The shape of an `msrpctl` `Q` line: one 1-query batch at a time, answered on the
+    // caller's thread (`answer_batch`) vs handed to the pool and waited on (`submit`).
+    let service =
+        QueryService::build_and_start(&g, &sources, &params, 2, &ServiceConfig { workers: 2 });
+    let mut next = queries.iter().copied().cycle();
+    group.bench_function("single_query_answer_batch", |b| {
+        b.iter(|| service.answer_batch(&[next.next().expect("cycle is endless")]))
+    });
+    group.bench_function("single_query_submit_wait", |b| {
+        b.iter(|| service.submit(&[next.next().expect("cycle is endless")]).wait())
+    });
+    service.shutdown();
     group.finish();
 }
 

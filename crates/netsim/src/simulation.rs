@@ -186,15 +186,15 @@ pub fn run_simulation(g: &Graph, config: &SimulationConfig) -> SimulationReport 
 
 /// Runs the same seeded simulation, but routes every per-failure query batch through a
 /// [`QueryService`](msrp_serve::QueryService): the oracle shards are built in parallel
-/// (`shards` construction workers) and each failure's batch is answered by the service's
-/// worker pool instead of by in-process calls.
+/// (`shards` construction workers) and each failure's batch is answered through the service
+/// (`answer_batch`, with its routing and metrics accounting) instead of by direct oracle calls.
 ///
 /// The RNG draw order matches [`run_simulation`] exactly, so for a given `config` both
 /// entry points inject the same failures and queries — and, because the service is answer-
 /// preserving (see the `msrp-serve` property suite), they must produce the same events,
 /// stretch, and mismatch counts; only the timing columns differ. `oracle_build_time` covers
 /// sharded construction plus service start-up, and `oracle_query_time` covers the full
-/// submit → answers round trip including queueing.
+/// `answer_batch` call including the service's accounting.
 ///
 /// # Panics
 ///

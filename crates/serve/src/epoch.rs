@@ -1,12 +1,12 @@
 //! Epoch-swap serving: keep answering queries from an immutable shard set while a
 //! background rebuild prepares the next one, then publish atomically.
 //!
-//! The whole serving stack is built on *immutable* oracles — that is what makes the worker
-//! pool coordination-free. Churn must not break that: instead of mutating shards in place,
+//! The whole serving stack is built on *immutable* oracles — that is what makes the serving
+//! threads coordination-free. Churn must not break that: instead of mutating shards in place,
 //! each network change produces a brand-new [`ShardedOracle`] (usually through the
 //! incremental path, [`ShardedOracle::rebuild_bk_csr`]) wrapped in an [`Epoch`], and
-//! [`EpochOracle::publish`] swaps one `Arc` pointer. Workers never block on a rebuild and a
-//! rebuild never blocks on workers.
+//! [`EpochOracle::publish`] swaps one `Arc` pointer. Readers never block on a rebuild and a
+//! rebuild never blocks on readers.
 //!
 //! # The epoch invariant
 //!

@@ -37,7 +37,7 @@ pub fn render_exposition(m: &MetricsSnapshot, obs: Option<&ObsReport>) -> String
     let mut e = Exposition::new();
     e.counter(
         "msrp_queries_total",
-        "Queries answered by the worker pool, including unroutable ones.",
+        "Queries answered by the service, including unroutable ones.",
         m.queries_total as f64,
     );
     e.counter(
@@ -50,14 +50,19 @@ pub fn render_exposition(m: &MetricsSnapshot, obs: Option<&ObsReport>) -> String
     for (i, &count) in m.shard_queries.iter().enumerate() {
         e.sample("msrp_shard_queries_total", &[("shard", &i.to_string())], count as f64);
     }
-    e.counter_family("msrp_worker_batches_total", "Batches executed by each pool worker.");
+    e.counter_family(
+        "msrp_worker_batches_total",
+        "Batches answered by each pool worker; the caller worker counts those answered inline.",
+    );
+    let caller = m.worker_batches.len().saturating_sub(1);
     for (i, &count) in m.worker_batches.iter().enumerate() {
-        e.sample("msrp_worker_batches_total", &[("worker", &i.to_string())], count as f64);
+        let worker = if i == caller { "caller".to_string() } else { i.to_string() };
+        e.sample("msrp_worker_batches_total", &[("worker", &worker)], count as f64);
     }
     histogram(
         &mut e,
         "msrp_batch_latency_seconds",
-        "Per-batch compute latency recorded by the executing worker.",
+        "Per-batch compute latency, recorded by the thread that answered the batch.",
         &m.batch_latency,
     );
     histogram(
@@ -179,6 +184,7 @@ mod tests {
         assert!(text.contains("msrp_epoch 3\n"));
         assert!(text.contains("msrp_shard_queries_total{shard=\"1\"} 7\n"));
         assert!(text.contains("msrp_worker_batches_total{worker=\"1\"} 1\n"));
+        assert!(text.contains("msrp_worker_batches_total{worker=\"caller\"} 0\n"));
         assert!(text.contains("msrp_batch_latency_seconds_count 1\n"));
         assert!(text.contains("msrp_rebuild_sources_total{rung=\"patch\"} 2\n"));
         assert!(text.contains("msrp_rebuild_rung_seconds_total{rung=\"rebuild\"} 1.8e-4\n"));

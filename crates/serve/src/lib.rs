@@ -7,8 +7,9 @@
 //! This crate turns that observation into a subsystem:
 //!
 //! * [`ShardedOracle`] — immutable, `Arc`-shareable shards plus a source → shard routing table;
-//! * [`QueryService`] — a worker pool fed by an mpsc request queue, with a batch-query API
-//!   ([`answer_batch`](QueryService::answer_batch)), pipelined submission
+//! * [`QueryService`] — a batch-query API whose synchronous batches
+//!   ([`answer_batch`](QueryService::answer_batch)) are answered on the caller's thread,
+//!   plus a worker pool fed by an mpsc request queue for pipelined submission
 //!   ([`submit`](QueryService::submit)), and graceful shutdown;
 //! * [`metrics`] — log-bucketed latency histograms (p50/p99/max) and per-shard/per-worker
 //!   throughput counters;

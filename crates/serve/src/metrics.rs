@@ -200,7 +200,7 @@ impl HistogramSnapshot {
 /// Shared counters of a running [`QueryService`](crate::QueryService).
 #[derive(Debug)]
 pub struct ServiceMetrics {
-    /// Latency of whole batches, recorded by the worker that executed the batch.
+    /// Latency of whole batches, recorded by the thread that answered the batch.
     pub batch_latency: LatencyHistogram,
     /// Staleness window of each epoch swap: churn-event arrival → new epoch published.
     /// Queries answered inside this window legitimately see the pre-event graph.
@@ -227,6 +227,9 @@ pub struct ServiceMetrics {
 
 impl ServiceMetrics {
     /// Creates zeroed metrics for a service with the given shard and worker counts.
+    ///
+    /// `worker_batches` gets `workers + 1` slots: one per pool worker, then the
+    /// [`caller_slot`](Self::caller_slot) for batches answered on a caller's thread.
     pub fn new(shards: usize, workers: usize) -> Self {
         ServiceMetrics {
             batch_latency: LatencyHistogram::new(),
@@ -236,7 +239,7 @@ impl ServiceMetrics {
             queries_total: AtomicU64::new(0),
             unroutable_total: AtomicU64::new(0),
             shard_queries: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            worker_batches: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            worker_batches: (0..=workers).map(|_| AtomicU64::new(0)).collect(),
             sources_total: AtomicU64::new(0),
             sources_reused_total: AtomicU64::new(0),
             sources_patched_total: AtomicU64::new(0),
@@ -303,7 +306,13 @@ impl ServiceMetrics {
         }
     }
 
-    /// Records one completed batch for `worker`.
+    /// The `worker_batches` slot of batches answered on a caller's thread (the last one).
+    pub fn caller_slot(&self) -> usize {
+        self.worker_batches.len() - 1
+    }
+
+    /// Records one completed batch for `worker` (a pool worker index, or
+    /// [`caller_slot`](Self::caller_slot)).
     pub fn record_batch(&self, worker: usize, latency: Duration) {
         // ordering: Relaxed — per-worker batch tally; statistical-counter contract.
         self.worker_batches[worker].fetch_add(1, Ordering::Relaxed);
@@ -356,7 +365,8 @@ pub struct MetricsSnapshot {
     pub unroutable_total: u64,
     /// Queries routed to each shard.
     pub shard_queries: Vec<u64>,
-    /// Batches executed by each worker.
+    /// Batches executed by each pool worker, then (the last entry) batches answered on a
+    /// caller's thread. The entries sum to the batches answered.
     pub worker_batches: Vec<u64>,
     /// Incremental-rebuild work accounting, merged over every recorded swap (so
     /// `sources_total`/`cuts_total` are the work a from-scratch rebuild per event would
@@ -495,7 +505,7 @@ mod tests {
         assert_eq!(snap.queries_total, 4);
         assert_eq!(snap.unroutable_total, 1);
         assert_eq!(snap.shard_queries, vec![1, 2]);
-        assert_eq!(snap.worker_batches, vec![0, 0, 1]);
+        assert_eq!(snap.worker_batches, vec![0, 0, 1, 0]);
         assert_eq!(snap.batch_latency.count, 1);
     }
 }

@@ -1,11 +1,10 @@
-//! The sharded oracles (unweighted and weighted) and the worker-pool query service built on
-//! top of them.
+//! The sharded oracles (unweighted and weighted) and the query service built on top of them.
 //!
-//! The service is generic over a [`RouteOracle`]: the worker pool, queueing, metrics and
-//! batch semantics are written once and serve both the hop-metric [`ShardedOracle`] and the
-//! weighted [`WeightedShardedOracle`] (whose answers are [`Weight`]s instead of
-//! [`Distance`]s). `QueryService` defaults its oracle parameter to `ShardedOracle`, so
-//! existing unweighted callers are unaffected.
+//! The service is generic over a [`RouteOracle`]: the batch path, worker pool, queueing,
+//! metrics and batch semantics are written once and serve both the hop-metric
+//! [`ShardedOracle`] and the weighted [`WeightedShardedOracle`] (whose answers are
+//! [`Weight`]s instead of [`Distance`]s). `QueryService` defaults its oracle parameter to
+//! `ShardedOracle`, so existing unweighted callers are unaffected.
 //!
 //! # Untrusted ids
 //!
@@ -443,16 +442,17 @@ impl ObsConfig {
     }
 }
 
-/// The per-batch span stages the worker pool journals. Wire/display names are the
+/// The per-batch span stages the service journals. Wire/display names are the
 /// lower-snake forms (`queue_wait`, `compute`, `reply`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BatchStage {
-    /// Submit → dequeue: time the batch sat in the mpsc queue.
+    /// Submit → dequeue: time the batch sat in the mpsc queue (zero for a batch answered
+    /// on its caller's thread by [`QueryService::answer_batch`]).
     QueueWait,
     /// Dequeue → answers ready: the oracle consultation (this is also what the
     /// `batch_latency` histogram records).
     Compute,
-    /// Answers ready → reply sent on the batch's channel.
+    /// Answers ready → reply sent on the batch's channel (or handed back to the caller).
     Reply,
 }
 
@@ -523,13 +523,84 @@ impl<A> PendingBatch<A> {
     }
 }
 
-/// A concurrent replacement-path query service: `Arc`-shared immutable shards behind a pool of
-/// worker threads fed by an mpsc request queue.
+/// One batch as [`run_batch`] sees it, whichever thread answers it.
+struct BatchCall<'q> {
+    queries: &'q [Query],
+    /// When the batch was enqueued; `None` for a batch answered on its caller's thread,
+    /// which never waits in the queue (its queue-wait span is zero).
+    submitted: Option<Instant>,
+    /// Seed-stable trace id (0 when observability is off).
+    trace_id: u64,
+    /// The `worker_batches` slot the batch is counted under (and the journal's worker id).
+    slot: usize,
+}
+
+/// Answers one batch and does all of its accounting: the single oracle consultation, the
+/// routing tally, the batch metrics, the three journal spans and the slow-log capture.
 ///
-/// Submitting a batch enqueues it; an idle worker dequeues it, answers every query against the
-/// sharded oracle, records metrics, and sends the answers back on the batch's private reply
-/// channel. Batches are independent, so clients on different threads get concurrency without
-/// coordination; answers within a batch stay in submission order, keeping results bit-for-bit
+/// The pool workers and [`QueryService::answer_batch`] both run every batch through here,
+/// so the two paths share one copy. `deliver` hands the answers back — a channel send on a
+/// pool worker, a plain move on the caller's thread — and its duration is the reply span.
+fn run_batch<O: RouteOracle, R>(
+    oracle: &O,
+    metrics: &ServiceMetrics,
+    obs: Option<&ServiceObs>,
+    batch: BatchCall<'_>,
+    deliver: impl FnOnce(Vec<Option<O::Answer>>) -> R,
+) -> R {
+    let start = Instant::now();
+    let submitted = batch.submitted.unwrap_or(start);
+    // One oracle consultation per batch: epoch-pinning implementations rely on this being
+    // the only point answers are produced. Tally routing locally and flush once per batch;
+    // per-query atomics would make concurrent batches contend (see ServiceMetrics).
+    let mut shard_counts = vec![0u64; oracle.shard_count()];
+    let mut unroutable = 0u64;
+    let answers: Vec<Option<O::Answer>> = oracle
+        .query_batch_routed(batch.queries)
+        .into_iter()
+        .map(|(shard, answer)| {
+            match shard {
+                Some(i) => shard_counts[i] += 1,
+                None => unroutable += 1,
+            }
+            answer
+        })
+        .collect();
+    let computed = Instant::now();
+    metrics.record_batch_queries(&shard_counts, unroutable);
+    metrics.record_batch(batch.slot, computed.duration_since(start));
+    let delivered = deliver(answers);
+    if let Some(obs) = obs {
+        if let Some(journal) = &obs.journal {
+            let worker = batch.slot as u32;
+            let spans = [
+                (BatchStage::QueueWait, start.duration_since(submitted)),
+                (BatchStage::Compute, computed.duration_since(start)),
+                (BatchStage::Reply, computed.elapsed()),
+            ];
+            for (stage, duration) in spans {
+                journal.record(batch.trace_id, stage.code(), worker, duration);
+            }
+        }
+        if let Some(slow) = &obs.slow {
+            // Submit → reply done: the latency a waiting client sees.
+            slow.observe(batch.trace_id, submitted.elapsed(), || batch.queries.to_vec());
+        }
+    }
+    delivered
+}
+
+/// A concurrent replacement-path query service: `Arc`-shared immutable shards, answered
+/// either on the caller's thread or by a pool of worker threads fed by an mpsc queue.
+///
+/// [`answer_batch`](QueryService::answer_batch) answers a batch on the calling thread: the
+/// caller blocks on the result anyway, so a handoff would only add a queue and two thread
+/// wake-ups. [`submit`](QueryService::submit) enqueues a batch for the pool instead; an idle
+/// worker dequeues it, answers it, and sends the answers back on the batch's private reply
+/// channel, so one thread can keep several batches in flight. Both paths run the same
+/// per-batch code (one oracle consultation, the same metrics and spans). Batches are
+/// independent, so clients on different threads get concurrency without coordination;
+/// answers within a batch stay in submission order, keeping results bit-for-bit
 /// deterministic regardless of worker count.
 ///
 /// Dropping the service (or calling [`shutdown`](QueryService::shutdown)) closes the queue and
@@ -557,11 +628,11 @@ impl<O: RouteOracle> QueryService<O> {
     /// Starts the worker pool with span tracing and/or slow-query logging per `obs`.
     ///
     /// When tracing is on, every batch journals three spans — queue-wait (submit →
-    /// dequeue), compute (the oracle consultation), reply (answer channel send) — under a
-    /// seed-stable trace id, and batches slower than the configured threshold are captured
-    /// whole in the slow-query log. When `obs` is all-off (the default), the only hot-path
-    /// additions over the untraced pool are one `Instant::now()` per submit and one branch
-    /// per batch (measured in `BENCH_obs.json`).
+    /// dequeue; zero on the caller's thread), compute (the oracle consultation), reply
+    /// (answer channel send) — under a seed-stable trace id, and batches slower than the
+    /// configured threshold are captured whole in the slow-query log. When `obs` is all-off
+    /// (the default), the only hot-path additions over the untraced pool are one
+    /// `Instant::now()` per submit and one branch per batch (measured in `BENCH_obs.json`).
     pub fn start_observed(oracle: O, config: &ServiceConfig, obs: &ObsConfig) -> Self {
         let worker_count = config.workers.max(1);
         let oracle = Arc::new(oracle);
@@ -581,65 +652,35 @@ impl<O: RouteOracle> QueryService<O> {
                 let oracle = Arc::clone(&oracle);
                 let metrics = Arc::clone(&metrics);
                 let obs = obs_state.clone();
-                std::thread::spawn(move || {
-                    loop {
-                        // Hold the queue lock only while dequeueing, never while answering.
-                        let job = match receiver.lock().expect("queue lock").recv() {
-                            Ok(job) => job,
-                            Err(_) => break, // queue closed: graceful shutdown
-                        };
-                        let start = Instant::now();
-                        // One oracle consultation per batch: epoch-pinning implementations
-                        // rely on this being the only point answers are produced. Tally
-                        // routing locally and flush once per batch; per-query atomics
-                        // would make the workers contend (see ServiceMetrics).
-                        let mut shard_counts = vec![0u64; oracle.shard_count()];
-                        let mut unroutable = 0u64;
-                        let answers: Vec<Option<O::Answer>> = oracle
-                            .query_batch_routed(&job.queries)
-                            .into_iter()
-                            .map(|(shard, answer)| {
-                                match shard {
-                                    Some(i) => shard_counts[i] += 1,
-                                    None => unroutable += 1,
-                                }
-                                answer
-                            })
-                            .collect();
-                        let computed = Instant::now();
-                        metrics.record_batch_queries(&shard_counts, unroutable);
-                        metrics.record_batch(worker_id, computed.duration_since(start));
-                        // The submitter may have given up waiting; that is not an error.
+                std::thread::spawn(move || loop {
+                    // Hold the queue lock only while dequeueing, never while answering.
+                    let job = match receiver.lock().expect("queue lock").recv() {
+                        Ok(job) => job,
+                        Err(_) => break, // queue closed: graceful shutdown
+                    };
+                    let batch = BatchCall {
+                        queries: &job.queries,
+                        submitted: Some(job.submitted),
+                        trace_id: job.trace_id,
+                        slot: worker_id,
+                    };
+                    // The submitter may have given up waiting; that is not an error.
+                    run_batch(&*oracle, &metrics, obs.as_deref(), batch, |answers| {
                         let _ = job.reply.send(answers);
-                        if let Some(obs) = obs.as_deref() {
-                            let worker = worker_id as u32;
-                            if let Some(journal) = &obs.journal {
-                                let spans = [
-                                    (BatchStage::QueueWait, start.duration_since(job.submitted)),
-                                    (BatchStage::Compute, computed.duration_since(start)),
-                                    (BatchStage::Reply, computed.elapsed()),
-                                ];
-                                for (stage, duration) in spans {
-                                    journal.record(job.trace_id, stage.code(), worker, duration);
-                                }
-                            }
-                            if let Some(slow) = &obs.slow {
-                                // Submit → reply done: the latency a waiting client sees.
-                                let total = job.submitted.elapsed();
-                                slow.observe(job.trace_id, total, || job.queries.clone());
-                            }
-                        }
-                    }
+                    });
                 })
             })
             .collect();
         QueryService { sender: Some(sender), workers, oracle, metrics, obs: obs_state }
     }
 
-    /// Enqueues a batch without waiting for it; pair with [`PendingBatch::wait`].
+    /// Enqueues a batch for the worker pool without waiting for it; pair with
+    /// [`PendingBatch::wait`]. This is the call for a thread that keeps several batches in
+    /// flight at once; a thread that would block on the reply straight away should call
+    /// [`answer_batch`](Self::answer_batch) instead and skip the handoff.
     pub fn submit(&self, queries: &[Query]) -> PendingBatch<O::Answer> {
         let (reply_tx, reply_rx) = channel();
-        let trace_id = self.obs.as_deref().map_or(0, |o| o.trace_ids.next_id());
+        let trace_id = self.next_trace_id();
         self.sender
             .as_ref()
             .expect("service is running")
@@ -655,8 +696,26 @@ impl<O: RouteOracle> QueryService<O> {
 
     /// Answers a batch synchronously: answers arrive in submission order, one per query
     /// (`None` for unroutable sources or out-of-range ids, `Some(∞)` for disconnections).
+    ///
+    /// The batch is answered on the calling thread, not handed to the pool: a caller that
+    /// blocks on the reply gains nothing from a queue, a reply channel and two thread
+    /// wake-ups around a lookup that takes well under a microsecond. It makes the same
+    /// single oracle consultation (so an [`EpochOracle`](crate::EpochOracle) still pins the
+    /// batch to one epoch) and the same accounting as a pool worker: the batch counts under
+    /// the `caller` slot of `worker_batches` and journals a zero queue-wait span.
     pub fn answer_batch(&self, queries: &[Query]) -> Vec<Option<O::Answer>> {
-        self.submit(queries).wait()
+        let batch = BatchCall {
+            queries,
+            submitted: None,
+            trace_id: self.next_trace_id(),
+            slot: self.metrics.caller_slot(),
+        };
+        run_batch(&*self.oracle, &self.metrics, self.obs.as_deref(), batch, |answers| answers)
+    }
+
+    /// The next batch trace id (0 when observability is off).
+    fn next_trace_id(&self) -> u64 {
+        self.obs.as_deref().map_or(0, |o| o.trace_ids.next_id())
     }
 
     /// The sharded oracle the service answers from.
@@ -674,9 +733,9 @@ impl<O: RouteOracle> QueryService<O> {
         self.metrics.snapshot()
     }
 
-    /// A shared handle to the live metrics, for recorders outside the worker pool (the
-    /// churn driver's rebuild thread records epoch swaps through this while the pool keeps
-    /// serving).
+    /// A shared handle to the live metrics, for recorders outside the query path (the
+    /// churn driver's rebuild thread records epoch swaps through this while the service
+    /// keeps serving).
     pub fn shared_metrics(&self) -> Arc<ServiceMetrics> {
         Arc::clone(&self.metrics)
     }
@@ -875,6 +934,96 @@ mod tests {
         assert_eq!(metrics.queries_total, 3 * g.vertex_count() as u64);
         assert_eq!(metrics.worker_batches.iter().sum::<u64>(), 3);
         assert_eq!(metrics.shard_queries.len(), 3);
+    }
+
+    /// A test double whose batch hook holds the first batch it sees: it reports on
+    /// `entered`, then blocks until `release` delivers. Later batches pass straight through.
+    struct GatedOracle {
+        inner: ShardedOracle,
+        gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    }
+
+    impl RouteOracle for GatedOracle {
+        type Answer = Distance;
+
+        fn shard_count(&self) -> usize {
+            self.inner.shard_count()
+        }
+
+        fn vertex_count(&self) -> usize {
+            self.inner.vertex_count()
+        }
+
+        fn query_routed(&self, q: Query) -> (Option<usize>, Option<Distance>) {
+            self.inner.query_routed(q)
+        }
+
+        fn query_batch_routed(&self, queries: &[Query]) -> Vec<(Option<usize>, Option<Distance>)> {
+            let gate = self.gate.lock().expect("gate lock").take();
+            if let Some((entered, release)) = gate {
+                entered.send(()).expect("test is listening");
+                release.recv().expect("test releases the gate");
+            }
+            self.inner.query_batch_routed(queries)
+        }
+    }
+
+    #[test]
+    fn answer_batch_returns_while_the_only_worker_is_busy() {
+        let g = grid_graph(4, 4);
+        let reference = ShardedOracle::build(&g, &[0, 5, 15], &MsrpParams::default(), 2);
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let oracle = GatedOracle {
+            inner: reference.clone(),
+            gate: Mutex::new(Some((entered_tx, release_rx))),
+        };
+        let service = QueryService::start(oracle, &ServiceConfig { workers: 1 });
+        let held: Vec<Query> =
+            (0..g.vertex_count()).map(|t| Query::new(5, t, Edge::new(1, 2))).collect();
+        let pending = service.submit(&held);
+        entered_rx.recv_timeout(Duration::from_secs(30)).expect("the worker took the held batch");
+        // The only pool worker is parked inside the oracle. A synchronous batch must not
+        // queue behind it.
+        let quick = [Query::new(0, 15, Edge::new(0, 1)), Query::new(15, 0, Edge::new(14, 15))];
+        let (done_tx, done_rx) = channel();
+        let quick_answers = std::thread::scope(|scope| {
+            scope.spawn(|| done_tx.send(service.answer_batch(&quick)).expect("test is listening"));
+            let got = done_rx.recv_timeout(Duration::from_secs(5));
+            // Release before judging, so a failing run still drains instead of hanging.
+            release_tx.send(()).expect("the worker is waiting");
+            got.expect("answer_batch queued behind the busy pool worker")
+        });
+        let expected: Vec<_> = quick.iter().map(|&q| reference.query(q)).collect();
+        assert_eq!(quick_answers, expected);
+        for (q, a) in held.iter().zip(pending.wait()) {
+            assert_eq!(a, reference.query(*q), "q={q:?}");
+        }
+        let metrics = service.shutdown();
+        assert_eq!(metrics.worker_batches, vec![1, 1], "one pool batch, one caller batch");
+        assert_eq!(metrics.queries_total, (held.len() + quick.len()) as u64);
+    }
+
+    #[test]
+    fn worker_batches_count_pool_and_caller_batches() {
+        let (g, service) = demo_service(2, 2);
+        let q = |t: usize| Query::new(0, t % g.vertex_count(), Edge::new(0, 1));
+        let pending: Vec<PendingBatch> = (0..5).map(|i| service.submit(&[q(i)])).collect();
+        for i in 0..3 {
+            assert_eq!(service.answer_batch(&[q(i), q(i + 1)]).len(), 2);
+        }
+        for p in pending {
+            assert_eq!(p.wait().len(), 1);
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.worker_batches.len(), service.worker_count() + 1);
+        assert_eq!(metrics.worker_batches.iter().sum::<u64>(), 5 + 3);
+        assert_eq!(metrics.worker_batches.last(), Some(&3), "the caller slot is last");
+        assert_eq!(metrics.batch_latency.count, 5 + 3);
+        assert_eq!(metrics.queries_total, 5 + 3 * 2);
+        let text = service.render_metrics();
+        assert!(text.contains("msrp_worker_batches_total{worker=\"caller\"} 3\n"), "{text}");
+        assert!(!text.contains("msrp_worker_batches_total{worker=\"2\"}"), "{text}");
     }
 
     #[test]

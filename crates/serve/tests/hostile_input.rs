@@ -16,7 +16,7 @@ use msrp_graph::{Edge, Graph};
 use msrp_obs::is_well_formed;
 use msrp_serve::{
     format_stats, parse_request, parse_stats, validate_query, Epoch, EpochOracle, ObsConfig, Query,
-    QueryService, Request, ServiceConfig, ShardedOracle,
+    QueryService, Request, RouteOracle, ServiceConfig, ShardedOracle,
 };
 
 const N: usize = 48;
@@ -29,6 +29,20 @@ fn service_under_test() -> QueryService {
         ShardedOracle::build(&g, &SOURCES, &MsrpParams::default(), 2),
         &ServiceConfig { workers: 3 },
     )
+}
+
+/// Answers storm batch number `i` on the caller's thread when `i` is even and through the
+/// worker pool when it is odd, so hostile input reaches both paths.
+fn answer_alternating<O: RouteOracle>(
+    service: &QueryService<O>,
+    batch: &[Query],
+    i: usize,
+) -> Vec<Option<O::Answer>> {
+    if i.is_multiple_of(2) {
+        service.answer_batch(batch)
+    } else {
+        service.submit(batch).wait()
+    }
 }
 
 /// A seed-pinned stream of hostile lines: random verbs, wrong arities, giant and boundary
@@ -76,6 +90,7 @@ fn fuzzed_lines_never_kill_a_worker() {
     let mut rejected_lines = 0usize;
     let mut rejected_ids = 0usize;
     let mut batch = Vec::new();
+    let mut storm_batches = 0usize;
     for _ in 0..4000 {
         let line = hostile_line(&mut rng);
         match parse_request(&line) {
@@ -91,12 +106,13 @@ fn fuzzed_lines_never_kill_a_worker() {
                 if validate_query(&q, N).is_err() {
                     rejected_ids += 1;
                 }
-                // Defense in depth: even UNvalidated queries go straight to the workers.
+                // Defense in depth: even UNvalidated queries go straight to the service.
                 batch.push(q);
             }
         }
         if batch.len() >= 64 {
-            let answers = service.answer_batch(&batch);
+            let answers = answer_alternating(&service, &batch, storm_batches);
+            storm_batches += 1;
             for (q, a) in batch.iter().zip(&answers) {
                 assert_eq!(*a, reference.query(*q), "q={q:?}");
             }
@@ -109,10 +125,11 @@ fn fuzzed_lines_never_kill_a_worker() {
     assert!(rejected_lines > 100, "rejected_lines = {rejected_lines}");
     assert!(parsed_queries > 100, "parsed_queries = {parsed_queries}");
     assert!(rejected_ids > 10, "rejected_ids = {rejected_ids}");
-    // Every worker is still alive and exact after the storm.
+    // Every pool worker is still alive and exact after the storm (submit goes through the
+    // pool; answer_batch would answer on this thread).
     let good = Query::new(0, N - 1, Edge::new(0, 1));
     for _ in 0..service.worker_count() * 2 {
-        assert_eq!(service.answer_batch(&[good])[0], reference.query(good));
+        assert_eq!(service.submit(&[good]).wait()[0], reference.query(good));
     }
     let metrics = service.shutdown();
     assert!(metrics.queries_total >= parsed_queries as u64);
@@ -225,7 +242,7 @@ fn churn_storm_never_mixes_epochs_within_a_batch() {
                 log.push(epoch);
             }
         });
-        // The storm: interleave fuzzed lines (unvalidated, straight at the workers) with
+        // The storm: interleave fuzzed lines (unvalidated, straight at the service) with
         // well-formed queries, in mixed batches, while the swapper runs.
         let mut fuzz_rng = StdRng::seed_from_u64(0xCAFE);
         for round in 0..60usize {
@@ -241,7 +258,7 @@ fn churn_storm_never_mixes_epochs_within_a_batch() {
                     Edge::new(0, 1),
                 ));
             }
-            let answers = service.answer_batch(&batch);
+            let answers = answer_alternating(&service, &batch, round);
             let epochs = published.lock().unwrap().clone();
             let consistent = epochs
                 .iter()
@@ -259,7 +276,7 @@ fn churn_storm_never_mixes_epochs_within_a_batch() {
     assert_eq!(last.id, 8);
     let good = Query::new(SOURCES[1], N - 1, Edge::new(0, 1));
     for _ in 0..service.worker_count() * 2 {
-        assert_eq!(service.answer_batch(&[good])[0], last.oracle.query(good));
+        assert_eq!(service.submit(&[good]).wait()[0], last.oracle.query(good));
     }
     let metrics = service.shutdown();
     assert_eq!(metrics.epoch, 8);
@@ -331,7 +348,7 @@ fn metrics_scrapes_stay_well_formed_during_epoch_swap_storm() {
                     Edge::new(0, 1),
                 ));
             }
-            service.answer_batch(&batch);
+            answer_alternating(&service, &batch, round);
             // Scrape mid-storm: the pinned STATS grammar round-trips, and the exposition
             // is well-formed even with swaps and journal wraps in flight.
             let stats_line = format_stats(&service.metrics());
@@ -353,7 +370,7 @@ fn metrics_scrapes_stay_well_formed_during_epoch_swap_storm() {
     assert_eq!(last.id, 6);
     let good = Query::new(SOURCES[1], N - 1, Edge::new(0, 1));
     for _ in 0..service.worker_count() * 2 {
-        assert_eq!(service.answer_batch(&[good])[0], last.oracle.query(good));
+        assert_eq!(service.submit(&[good]).wait()[0], last.oracle.query(good));
     }
     assert!(is_well_formed(&service.render_metrics()));
     let metrics = service.shutdown();
@@ -415,7 +432,7 @@ fn bk_built_service_survives_hostility() {
         );
     }
 
-    // Then the seeded storm, unvalidated, straight at the workers.
+    // Then the seeded storm, unvalidated, straight at the service.
     let mut fuzz_rng = StdRng::seed_from_u64(0xB00C);
     let mut batch = Vec::new();
     for _ in 0..2000 {
@@ -439,7 +456,7 @@ fn bk_built_service_survives_hostility() {
     let good = Query::new(0, 39, Edge::new(0, 1));
     for _ in 0..service.worker_count() * 2 {
         assert_eq!(
-            service.answer_batch(&[good])[0],
+            service.submit(&[good]).wait()[0],
             reference.replacement_distance(0, 39, Edge::new(0, 1))
         );
     }

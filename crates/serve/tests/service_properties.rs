@@ -1,19 +1,30 @@
 //! Concurrency-correctness property suite (seed-pinned, see `DESIGN.md`).
 //!
 //! The service must be an *invisible* layer: answers routed through sharded oracles, worker
-//! pools, and mpsc queues must agree bit-for-bit with the single-threaded
-//! `ReplacementPathOracle` and with `single_source_brute_force` ground truth, for every pinned
-//! seed and every worker/shard combination.
+//! pools, mpsc queues, or answered on caller threads while epochs swap, must agree
+//! bit-for-bit with the single-threaded `ReplacementPathOracle` and with
+//! `single_source_brute_force` ground truth, for every pinned seed and every worker/shard
+//! combination.
+
+use std::sync::Barrier;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use msrp_core::MsrpParams;
 use msrp_graph::generators::connected_gnm;
-use msrp_graph::{Graph, ShortestPathTree, Vertex, INFINITE_DISTANCE};
+use msrp_graph::{Distance, Graph, ShortestPathTree, Vertex, INFINITE_DISTANCE};
 use msrp_oracle::ReplacementPathOracle;
 use msrp_rpath::single_source_brute_force;
-use msrp_serve::{random_queries, run_closed_loop, LoadConfig, Query, QueryService, ServiceConfig};
+use msrp_serve::{
+    random_queries, run_closed_loop, EpochOracle, LoadConfig, Query, QueryService, ServiceConfig,
+    ShardedOracle,
+};
+
+/// Reader threads of the epoch-swap input.
+const READERS: usize = 4;
+/// Epochs published while those readers run.
+const PUBLISHES: u64 = 3;
 
 /// A random connected instance plus a distinct source set, pinned by `seed`.
 fn random_case(seed: u64) -> (Graph, Vec<Vertex>) {
@@ -49,24 +60,13 @@ fn service_agrees_with_oracle_and_brute_force_on_pinned_seeds() {
         let mut rng = StdRng::seed_from_u64(1000 + case);
         let workload = random_queries(&g, &sources, 300, &mut rng);
 
-        for (workers, shards) in [(1usize, 1usize), (2, 2), (4, 3)] {
-            let service = QueryService::build_and_start(
-                &g,
-                &sources,
-                &params,
-                shards,
-                &ServiceConfig { workers },
-            );
-            // Split the workload into batches so several jobs are in flight.
-            let pending: Vec<_> = workload.chunks(32).map(|b| service.submit(b)).collect();
-            let answers: Vec<_> = pending.into_iter().flat_map(|p| p.wait()).collect();
-            assert_eq!(answers.len(), workload.len());
-            for (q, &answer) in workload.iter().zip(&answers) {
+        let check = |input: &str, answers: &[Option<Distance>]| {
+            assert_eq!(answers.len(), workload.len(), "{input}");
+            for (q, &answer) in workload.iter().zip(answers) {
                 let expected = single.replacement_distance(q.source, q.target, q.avoid);
                 assert_eq!(
                     answer, expected,
-                    "case={case} workers={workers} shards={shards} q={q:?} \
-                     disagrees with the single-threaded oracle"
+                    "case={case} {input} q={q:?} disagrees with the single-threaded oracle"
                 );
                 let src_idx = sources.iter().position(|&s| s == q.source).unwrap();
                 let (tree, distances) = &brute[src_idx];
@@ -78,12 +78,57 @@ fn service_agrees_with_oracle_and_brute_force_on_pinned_seeds() {
                 assert_eq!(
                     answer,
                     Some(truth),
-                    "case={case} workers={workers} shards={shards} q={q:?} \
-                     disagrees with single_source_brute_force ground truth"
+                    "case={case} {input} q={q:?} disagrees with single_source_brute_force \
+                     ground truth"
                 );
             }
+        };
+
+        for (workers, shards) in [(1usize, 1usize), (2, 2), (4, 3)] {
+            let service = QueryService::build_and_start(
+                &g,
+                &sources,
+                &params,
+                shards,
+                &ServiceConfig { workers },
+            );
+            // Split the workload into batches so several jobs are in flight.
+            let pending: Vec<_> = workload.chunks(32).map(|b| service.submit(b)).collect();
+            let answers: Vec<_> = pending.into_iter().flat_map(|p| p.wait()).collect();
+            check(&format!("workers={workers} shards={shards}"), &answers);
             service.shutdown();
         }
+
+        // One more input: READERS threads answer on their own threads (`answer_batch`, no
+        // pool) from an epoch-swapping service while this thread publishes fresh epochs of
+        // the same graph, so every epoch must give the same exact answers.
+        let csr = g.freeze();
+        let epochs = EpochOracle::new(ShardedOracle::build_bk_csr(&csr, &sources, 2));
+        let service = QueryService::start(epochs, &ServiceConfig { workers: 2 });
+        let start = Barrier::new(READERS + 1);
+        let chunk = workload.len().div_ceil(READERS);
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            let readers: Vec<_> = workload
+                .chunks(chunk)
+                .map(|part| {
+                    let (service, start) = (&service, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        part.chunks(8).flat_map(|b| service.answer_batch(b)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            start.wait();
+            for _ in 0..PUBLISHES {
+                service.oracle().publish(ShardedOracle::build_bk_csr(&csr, &sources, 2));
+            }
+            readers.into_iter().flat_map(|r| r.join().expect("reader panicked")).collect()
+        });
+        check(&format!("answer_batch from {READERS} threads during epoch swaps"), &answers);
+        assert_eq!(service.oracle().epoch_id(), PUBLISHES);
+        let metrics = service.shutdown();
+        assert_eq!(metrics.queries_total, workload.len() as u64);
+        assert_eq!(metrics.worker_batches[..2], [0, 0], "answer_batch must bypass the pool");
     }
 }
 

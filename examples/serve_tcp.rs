@@ -298,6 +298,11 @@ fn serve(
     std::thread::scope(|scope| {
         for (accepted, stream) in listener.incoming().enumerate() {
             let stream = stream.expect("accept failed");
+            // Replies are a few bytes each. With Nagle's algorithm on, a reply written while
+            // the previous one is still unacknowledged waits for the client's (delayed) ACK.
+            if let Err(e) = stream.set_nodelay(true) {
+                eprintln!("set_nodelay: {e}");
+            }
             scope.spawn(move || {
                 if let Err(e) = handle_connection(stream, service, wservice) {
                     eprintln!("connection error: {e}");

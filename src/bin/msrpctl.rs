@@ -363,6 +363,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // the STOP semantics trivial (no cross-thread shutdown signalling to get wrong).
     for stream in listener.incoming() {
         let stream = stream.map_err(|e| format!("accept: {e}"))?;
+        // Replies are a few bytes each. With Nagle's algorithm on, a reply written while the
+        // previous one is still unacknowledged waits for the client's (delayed) ACK.
+        if let Err(e) = stream.set_nodelay(true) {
+            eprintln!("set_nodelay: {e}");
+        }
         match handle_connection(stream, &service) {
             Ok(true) => break,
             Ok(false) => {}
